@@ -5,7 +5,7 @@
 //!
 //! 1. **Logging tax** — the same batch sequence is committed by a
 //!    logged session (`apply_logged`, fsync per policy) and an unlogged
-//!    one (`apply_on`); their ranks must stay bit-identical and the
+//!    one (`apply_logged` with no log); their ranks must stay bit-identical and the
 //!    per-commit overhead is reported.
 //! 2. **Recovery vs recompute** — the state is rebuilt two ways: via
 //!    `Durability::recover` (checkpoint + WAL tail replay) and via a
@@ -15,7 +15,7 @@
 //!    replay rate, commits replayed per second of recovery wall time,
 //!    in the same absolute-rate style as `serve_bench --require`; the
 //!    recompute time is reported alongside as an ungated reference.
-//! 3. **Replica staleness** — a leader (`spawn_durable`) serves a
+//! 3. **Replica staleness** — a durable leader (`spawn_with`) serves a
 //!    follower over the feed while batches commit; per commit we
 //!    measure ack-to-follower-applied lag, then restart the leader from
 //!    its log and require the follower to reconnect and catch up.
@@ -32,8 +32,8 @@ use lfpr_graph::selfloops::add_self_loops;
 use lfpr_graph::{BatchSpec, BatchUpdate};
 use lockfree_pagerank::durable::{Durability, DurabilityOptions};
 use lockfree_pagerank::replica::{Follower, FollowerOptions};
-use lockfree_pagerank::serve::{apply_logged, apply_on, WriterOp};
-use lockfree_pagerank::server::spawn_durable;
+use lockfree_pagerank::serve::{apply_logged, WriterOp};
+use lockfree_pagerank::server::{spawn_with, ServerOptions};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -177,7 +177,7 @@ fn main() {
     let mut plain_s = Vec::new();
     for b in &script {
         let t = Instant::now();
-        apply_on(&mut plain, WriterOp::Commit(b.clone())).expect("plain commit");
+        apply_logged(&mut plain, None, None, WriterOp::Commit(b.clone())).expect("plain commit");
         plain_s.push(t.elapsed().as_secs_f64());
     }
     if args.threads == 1 {
@@ -249,8 +249,15 @@ fn main() {
         },
     )
     .expect("leader durability");
-    let server = spawn_durable(leader_session, listener, 3, Some(leader_durable), None)
-        .expect("spawn leader");
+    let server = spawn_with(
+        leader_session,
+        listener,
+        ServerOptions {
+            durable: Some(leader_durable),
+            ..ServerOptions::new(3)
+        },
+    )
+    .expect("spawn leader");
     let mut fopts = FollowerOptions::new(addr.to_string());
     fopts.backoff_base = Duration::from_millis(20);
     fopts.backoff_cap = Duration::from_millis(500);
@@ -294,8 +301,15 @@ fn main() {
             .expect("leader recover");
     assert_eq!(rep.final_epoch, half, "leader lost acked commits");
     let listener = std::net::TcpListener::bind(addr).expect("rebind leader");
-    let server =
-        spawn_durable(restored, listener, 3, Some(restored_durable), None).expect("respawn leader");
+    let server = spawn_with(
+        restored,
+        listener,
+        ServerOptions {
+            durable: Some(restored_durable),
+            ..ServerOptions::new(3)
+        },
+    )
+    .expect("respawn leader");
     let restart_s = t.elapsed().as_secs_f64();
 
     let mut post_staleness_s = Vec::new();

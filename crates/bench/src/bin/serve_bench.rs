@@ -626,7 +626,8 @@ fn main() {
     println!("initial static ranks in {:?}", t0.elapsed());
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let srv = server::spawn(session, listener, workers).expect("spawn server");
+    let srv = server::spawn_with(session, listener, server::ServerOptions::new(workers))
+        .expect("spawn server");
     let addr = srv.addr();
 
     // Phase 1: reads with no writer.

@@ -170,6 +170,7 @@ pub struct RankView {
     epoch: u64,
     deltas: Arc<[RankDelta]>,
     views: Arc<[PublishedNamedView]>,
+    slack: Option<SlackStats>,
 }
 
 impl RankView {
@@ -194,6 +195,13 @@ impl RankView {
     /// Rank of one vertex.
     pub fn rank(&self, v: u32) -> f64 {
         self.ranks[v as usize]
+    }
+
+    /// Occupancy of the session's gapped store as of this epoch
+    /// (`None` under the packed layout), captured at publish time so it
+    /// belongs to the same commit as the snapshot's `n` and `m`.
+    pub fn slack_stats(&self) -> Option<SlackStats> {
+        self.slack
     }
 
     /// The `k` highest-ranked vertices of this epoch, descending (ties
@@ -516,6 +524,7 @@ impl UpdateSession {
             epoch: 0,
             deltas: Arc::from(Vec::new()),
             views: Arc::from(Vec::new()),
+            slack: None,
         };
         UpdateSession {
             graph,
@@ -571,6 +580,8 @@ impl UpdateSession {
             }
         }
         self.layout = layout;
+        // Published views carry the store's slack occupancy.
+        self.maybe_publish();
     }
 
     /// The active storage layout.
@@ -623,6 +634,7 @@ impl UpdateSession {
             epoch,
             deltas: Arc::from(Vec::new()),
             views: Arc::from(Vec::new()),
+            slack: None,
         };
         Ok(UpdateSession {
             graph,
@@ -760,6 +772,7 @@ impl UpdateSession {
             epoch: self.steps,
             deltas: Arc::clone(&self.last_deltas),
             views: named.into(),
+            slack: self.slack_stats(),
         });
         let old = {
             let mut slot = self.published.write().expect("publish slot poisoned");

@@ -131,9 +131,7 @@ fn print_top(ranks: &[f64], k: usize) {
 
 fn serve_main(args: &[String]) {
     use lockfree_pagerank::durable::Durability;
-    use lockfree_pagerank::serve::{
-        serve_connection_durable_reordered, serve_connection_reordered,
-    };
+    use lockfree_pagerank::server::{serve_stdin, spawn_with, ServerOptions};
     use lockfree_pagerank::{GraphSource, Reordering, ServeConfig, UpdateSession};
     use std::sync::Arc;
 
@@ -151,7 +149,7 @@ fn serve_main(args: &[String]) {
     if cfg.shards > 1 {
         return serve_sharded(&cfg, opts);
     }
-    let (mut session, durable, reorder) = match &cfg.source {
+    let (session, durable, reorder) = match &cfg.source {
         GraphSource::Recovered => {
             let dir = cfg.wal_dir.as_deref().expect("validate: recover needs wal");
             // The algorithm and graph come from the checkpoint; --algo is
@@ -207,19 +205,9 @@ fn serve_main(args: &[String]) {
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            let summary = match durable {
-                Some(mut d) => serve_connection_durable_reordered(
-                    &mut session,
-                    &mut d,
-                    &reorder,
-                    stdin.lock(),
-                    stdout.lock(),
-                ),
-                None => {
-                    serve_connection_reordered(&mut session, &reorder, stdin.lock(), stdout.lock())
-                }
-            }
-            .unwrap_or_else(|e| bad(&format!("serve failed: {e}")));
+            let (session, summary) =
+                serve_stdin(session, durable, &reorder, stdin.lock(), stdout.lock())
+                    .unwrap_or_else(|e| bad(&format!("serve failed: {e}")));
             eprintln!(
                 "# session ended: {} commands, {} batches, {} edge updates, {} steps",
                 summary.commands,
@@ -231,10 +219,10 @@ fn serve_main(args: &[String]) {
         Some(addr) => {
             let listener = std::net::TcpListener::bind(addr)
                 .unwrap_or_else(|e| bad(&format!("cannot bind {addr}: {e}")));
-            let server = lockfree_pagerank::server::spawn_with(
+            let server = spawn_with(
                 session,
                 listener,
-                lockfree_pagerank::server::ServerOptions {
+                ServerOptions {
                     workers: cfg.workers,
                     durable,
                     reorder,
@@ -248,7 +236,10 @@ fn serve_main(args: &[String]) {
                 cfg.workers,
                 if cfg.coalesce { "coalesced" } else { "sequential" }
             );
-            server.wait();
+            if let Err(e) = server.wait() {
+                eprintln!("# server stopped: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -349,7 +340,7 @@ fn serve_sharded(cfg: &lockfree_pagerank::ServeConfig, opts: PagerankOptions) {
 /// when it falls behind the leader's log.
 fn follow_main(args: &[String]) {
     use lockfree_pagerank::replica::{Follower, FollowerOptions};
-    use lockfree_pagerank::serve::{serve_client_reordered, Backend};
+    use lockfree_pagerank::serve::{serve_client, Backend};
     use std::io::{BufReader, BufWriter};
 
     let bad = |msg: &str| -> ! {
@@ -417,12 +408,11 @@ fn follow_main(args: &[String]) {
     match tcp {
         None => {
             let (reader, algorithm, reorder) = follower.reader().expect("reader after sync");
-            let mut backend = Backend::Replica { reader, algorithm };
+            let backend = Backend::replica(reader, algorithm);
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            let summary =
-                serve_client_reordered(&mut backend, &reorder, stdin.lock(), stdout.lock())
-                    .unwrap_or_else(|e| bad(&format!("serve failed: {e}")));
+            let summary = serve_client(&backend, &reorder, stdin.lock(), stdout.lock())
+                .unwrap_or_else(|e| bad(&format!("serve failed: {e}")));
             eprintln!(
                 "# replica session ended: {} commands at epoch {}",
                 summary.commands,
@@ -461,8 +451,8 @@ fn follow_main(args: &[String]) {
                     eprintln!("# replica connection from {peer}");
                     let input = BufReader::new(conn.try_clone().expect("clone socket"));
                     let output = BufWriter::new(conn);
-                    let mut backend = Backend::Replica { reader, algorithm };
-                    match serve_client_reordered(&mut backend, &reorder, input, output) {
+                    let backend = Backend::replica(reader, algorithm);
+                    match serve_client(&backend, &reorder, input, output) {
                         Ok(s) => eprintln!("# replica connection closed: {} commands", s.commands),
                         Err(e) => eprintln!("# replica client dropped: {e}"),
                     }

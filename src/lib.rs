@@ -306,6 +306,9 @@ impl ServeConfig {
         if self.threads == 0 {
             return Err("--threads needs at least one thread".into());
         }
+        if self.workers == 0 {
+            return Err("--workers needs at least one event loop".into());
+        }
         if self.source == GraphSource::Recovered {
             if self.wal_dir.is_none() {
                 return Err("--recover needs --wal <dir>".into());
@@ -774,6 +777,18 @@ mod tests {
         assert_eq!(
             zero.validate().unwrap_err(),
             "--shards needs at least one shard"
+        );
+        let no_loops = ServeConfig {
+            workers: 0,
+            ..ServeConfig::new(GraphSource::Generated {
+                n: 1,
+                m: 0,
+                seed: 0,
+            })
+        };
+        assert_eq!(
+            no_loops.validate().unwrap_err(),
+            "--workers needs at least one event loop"
         );
         assert!(
             ServeConfig::from_args(&argv("--recover --reorder degree --wal /tmp/w"))

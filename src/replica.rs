@@ -52,7 +52,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// Leader side: the hub and the per-connection stream.
+// Leader side: the hub and the feed encoders.
 // ---------------------------------------------------------------------------
 
 /// Fan-out point between the single writer and any number of following
@@ -112,45 +112,9 @@ impl FeedHub {
     }
 }
 
-/// Serve one `follow` connection: subscribe, pin the latest view,
-/// answer `feed ok`/`feed resync`, then stream frames until the client
-/// hangs up or the hub closes. Returns the number of live frames sent.
-///
-/// Subscription happens *before* the view is pinned, so no mutation can
-/// fall between the snapshot and the stream; the overlap is resolved by
-/// skipping frames the pinned view already contains.
-pub fn stream_feed<W: Write>(
-    reader: &RankReader,
-    hub: &FeedHub,
-    algorithm: Algorithm,
-    since: Option<u64>,
-    reorder: &SharedReordering,
-    out: &mut W,
-) -> io::Result<u64> {
-    let rx = hub.subscribe();
-    let pinned = reader.view();
-    let epoch = pinned.epoch();
-    if since == Some(epoch) {
-        writeln!(out, "feed ok epoch={epoch}")?;
-    } else {
-        write_resync(out, &pinned, algorithm, reorder)?;
-    }
-    out.flush()?;
-    let mut sent = 0u64;
-    while let Ok(rec) = rx.recv() {
-        if !record_is_fresh(&rec, &pinned) {
-            continue;
-        }
-        write_feed_event(out, &rec)?;
-        out.flush()?;
-        sent += 1;
-    }
-    Ok(sent)
-}
-
 /// Whether a published record post-dates `pinned` — the overlap filter
-/// between subscribing to the hub and pinning the view. Shared by
-/// [`stream_feed`] and the event-driven server's follower connections.
+/// between subscribing to the hub and pinning the view, applied by the
+/// event-driven server's follower connections.
 pub(crate) fn record_is_fresh(rec: &WalRecord, pinned: &RankView) -> bool {
     match rec {
         // A commit the pinned view already reflects was queued between

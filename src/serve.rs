@@ -26,10 +26,10 @@
 //!
 //! Every reply that reads committed state carries `epoch=<e>` — the
 //! commit number it was answered from (0 = the initial static ranks).
-//! Under the concurrent TCP server ([`crate::server`]) reads are served
-//! from an atomically published [`RankView`], so a reply's `rank`/`topk`
-//! values and its epoch always belong to the same commit even while a
-//! batch is being applied on the writer.
+//! On every transport ([`crate::server`]) reads are served from an
+//! atomically published [`RankView`] and mutations go to the single
+//! writer thread, so a reply's `rank`/`topk` values and its epoch always
+//! belong to the same commit even while a batch is being applied.
 //!
 //! ## Subscriptions
 //!
@@ -61,7 +61,7 @@ use crate::protocol::{
     encode_response, parse_request, Handshake, MoverEntry, Request, Response, ServeError,
     ShardEpochs, VERBS,
 };
-use crate::replica::{self, FeedHub};
+use crate::replica::FeedHub;
 use lfpr_core::session::{RankReader, RankView, UpdateSession};
 use lfpr_core::{Algorithm, RankDelta, RunStatus, Teleport};
 use lfpr_graph::io::wal::WalRecord;
@@ -186,13 +186,10 @@ pub struct WriterRequest {
     pub reply: WriterReply,
 }
 
-/// Apply `batch` to `session` and report the outcome — the one commit
-/// path shared by the Direct backend and the TCP writer thread, so the
-/// per-batch stderr line and the outcome fields cannot drift apart.
-pub fn commit_on(
-    session: &mut UpdateSession,
-    batch: &BatchUpdate,
-) -> Result<CommitOutcome, String> {
+/// Apply `batch` to `session` and report the outcome — the commit step
+/// of [`apply_logged`], so the per-batch stderr line and the outcome
+/// fields cannot drift apart.
+fn commit_on(session: &mut UpdateSession, batch: &BatchUpdate) -> Result<CommitOutcome, String> {
     match session.step(batch) {
         Ok(stats) => {
             eprintln!(
@@ -214,32 +211,12 @@ pub fn commit_on(
     }
 }
 
-/// Apply any writer op to `session` — the single mutation path shared
-/// by the Direct backend and the TCP writer thread. On rejection the op
-/// travels back with the error message.
-pub fn apply_on(session: &mut UpdateSession, op: WriterOp) -> Result<WriterOk, (WriterOp, String)> {
-    match op {
-        WriterOp::Commit(batch) => match commit_on(session, &batch) {
-            Ok(outcome) => Ok(WriterOk::Committed(outcome)),
-            Err(msg) => Err((WriterOp::Commit(batch), msg)),
-        },
-        WriterOp::AddView { name, teleport } => match session.add_view(&name, teleport.clone()) {
-            Ok(()) => Ok(WriterOk::ViewAdded {
-                epoch: session.steps(),
-            }),
-            Err(msg) => Err((WriterOp::AddView { name, teleport }, msg)),
-        },
-        WriterOp::DropView { name } => match session.drop_view(&name) {
-            Ok(()) => Ok(WriterOk::ViewDropped),
-            Err(msg) => Err((WriterOp::DropView { name }, msg)),
-        },
-    }
-}
-
-/// [`apply_on`] with durability and replication: apply the op, append
-/// it to the WAL, hand it to the feed, then acknowledge — in that
-/// order, so an acked mutation is always on disk (per the fsync policy)
-/// and followers never see an epoch the leader could lose.
+/// Apply one writer op to `session` — the single mutation path, run by
+/// the writer thread of every transport (and by each shard's writer).
+/// Apply the op, append it to the WAL, hand it to the feed, then
+/// acknowledge — in that order, so an acked mutation is always on disk
+/// (per the fsync policy) and followers never see an epoch the leader
+/// could lose. With neither a log nor a feed this is a plain apply.
 ///
 /// A *wedged* WAL (an earlier append failed) refuses the op up front:
 /// committed state is already ahead of the log and widening that gap
@@ -318,229 +295,51 @@ pub fn apply_logged(
     }
 }
 
-/// How a serve loop reaches session state.
+/// How a serve loop reaches session state. Reads come from the
+/// epoch-published [`RankView`] (never blocking the writer); mutations
+/// are funneled through a channel to the single writer thread that owns
+/// the session ([`crate::server`]).
 ///
-/// * [`Direct`](Backend::Direct) — exclusive access (stdin mode, tests):
-///   reads and writes go straight to the owned session.
-/// * [`Durable`](Backend::Durable) — Direct plus a write-ahead log:
-///   every mutation is appended (and acked only after).
-/// * [`Concurrent`](Backend::Concurrent) — a TCP worker: reads come from
-///   the epoch-published [`RankView`] (never blocking the writer),
-///   writes are funneled through a channel to the single writer thread.
-/// * [`Replica`](Backend::Replica) — a follower's local server: reads
-///   come from the mirrored published view, mutations are refused.
-pub enum Backend<'a> {
-    /// Exclusive access to the session (single-connection modes).
-    Direct(&'a mut UpdateSession),
-    /// Exclusive access with durability (stdin mode under `--wal`).
-    Durable {
-        /// The owned session.
-        session: &'a mut UpdateSession,
-        /// Its WAL + checkpoint manager.
-        durable: &'a mut Durability,
-    },
-    /// Shared access under the concurrent server.
-    Concurrent {
-        /// Handle onto the session's published views.
-        reader: RankReader,
-        /// Funnel to the writer thread owning the session.
-        writer: mpsc::Sender<WriterRequest>,
-        /// The session's configured algorithm (for `stats`).
-        algorithm: Algorithm,
-        /// Fan-out point for `follow` connections.
-        feed: FeedHub,
-        /// Live WAL counters (`stats`), when the server is durable.
-        wal: Option<Arc<WalStats>>,
-    },
-    /// Read-only serving from a follower's mirrored state.
-    Replica {
-        /// Handle onto the mirrored published views.
-        reader: RankReader,
-        /// The leader's algorithm.
-        algorithm: Algorithm,
-    },
+/// * `writer: None` — a follower's replica: mutations are refused.
+/// * `feed: None` — no `follow` fan-out (stdin and replicas).
+#[derive(Clone)]
+pub struct Backend {
+    /// Handle onto the session's published views.
+    pub(crate) reader: RankReader,
+    /// Funnel to the writer thread owning the session.
+    pub(crate) writer: Option<mpsc::Sender<WriterRequest>>,
+    /// The session's configured algorithm (for `hello` and `stats`).
+    pub(crate) algorithm: Algorithm,
+    /// Fan-out point for `follow` connections.
+    pub(crate) feed: Option<FeedHub>,
+    /// Live WAL counters (`stats`), when the session is durable.
+    pub(crate) wal: Option<Arc<WalStats>>,
 }
 
-/// One command's coherent look at committed state: every field a reply
-/// derives (ranks, edges, epoch, views) comes from the same commit.
-enum CmdView<'a> {
-    Direct(&'a UpdateSession),
-    Published(Arc<RankView>),
-}
-
-impl CmdView<'_> {
-    fn num_vertices(&self) -> usize {
-        match self {
-            CmdView::Direct(s) => s.graph().num_vertices(),
-            CmdView::Published(v) => v.snapshot().num_vertices(),
-        }
-    }
-
-    fn num_edges(&self) -> usize {
-        match self {
-            CmdView::Direct(s) => s.graph().num_edges(),
-            CmdView::Published(v) => v.snapshot().num_edges(),
-        }
-    }
-
-    fn has_edge(&self, u: u32, v: u32) -> bool {
-        match self {
-            CmdView::Direct(s) => s.graph().has_edge(u, v),
-            CmdView::Published(view) => view.snapshot().has_edge(u, v),
-        }
-    }
-
-    fn rank(&self, v: u32) -> f64 {
-        match self {
-            CmdView::Direct(s) => s.rank(v),
-            CmdView::Published(view) => view.rank(v),
-        }
-    }
-
-    fn top_k(&self, k: usize) -> Vec<(u32, f64)> {
-        match self {
-            CmdView::Direct(s) => s.top_k(k),
-            CmdView::Published(view) => view.top_k(k),
-        }
-    }
-
-    fn movers(&self, k: usize) -> Vec<RankDelta> {
-        match self {
-            CmdView::Direct(s) => s.movers(k),
-            CmdView::Published(view) => view.movers(k),
-        }
-    }
-
-    fn has_view(&self, name: &str) -> bool {
-        match self {
-            CmdView::Direct(s) => s.has_view(name),
-            CmdView::Published(view) => view.has_view(name),
-        }
-    }
-
-    fn rank_in(&self, name: &str, v: u32) -> Option<f64> {
-        match self {
-            CmdView::Direct(s) => s.view_rank(name, v),
-            CmdView::Published(view) => view.rank_in(name, v),
-        }
-    }
-
-    fn top_k_in(&self, name: &str, k: usize) -> Option<Vec<(u32, f64)>> {
-        match self {
-            CmdView::Direct(s) => s.view_top_k(name, k),
-            CmdView::Published(view) => view.top_k_in(name, k),
-        }
-    }
-
-    fn movers_in(&self, name: &str, k: usize) -> Option<Vec<RankDelta>> {
-        match self {
-            CmdView::Direct(s) => s.view_movers(name, k),
-            CmdView::Published(view) => view.movers_in(name, k),
-        }
-    }
-
-    fn view_names(&self) -> Vec<(String, usize)> {
-        match self {
-            CmdView::Direct(s) => s.view_names(),
-            CmdView::Published(view) => view.view_names(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            CmdView::Direct(s) => s.steps(),
-            CmdView::Published(view) => view.epoch(),
+impl Backend {
+    /// Read-only serving from a follower's mirrored published views.
+    pub fn replica(reader: RankReader, algorithm: Algorithm) -> Backend {
+        Backend {
+            reader,
+            writer: None,
+            algorithm,
+            feed: None,
+            wal: None,
         }
     }
 }
 
-impl Backend<'_> {
-    /// Pin the state one command answers from. Under the concurrent
-    /// server this is one published-view load; commands never mix two
-    /// epochs within a reply.
-    fn view(&self) -> CmdView<'_> {
-        match self {
-            Backend::Direct(s) => CmdView::Direct(s),
-            Backend::Durable { session, .. } => CmdView::Direct(session),
-            Backend::Concurrent { reader, .. } | Backend::Replica { reader, .. } => {
-                CmdView::Published(reader.view())
-            }
-        }
-    }
-
-    fn algorithm(&self) -> Algorithm {
-        match self {
-            Backend::Direct(s) => s.algorithm(),
-            Backend::Durable { session, .. } => session.algorithm(),
-            Backend::Concurrent { algorithm, .. } | Backend::Replica { algorithm, .. } => {
-                *algorithm
-            }
-        }
-    }
-
-    /// `(wal_epoch, wal_bytes)` for `stats`, when this backend logs.
-    fn wal_stats(&self) -> Option<(u64, u64)> {
-        match self {
-            Backend::Direct(_) | Backend::Replica { .. } => None,
-            Backend::Durable { durable, .. } => {
-                let s = durable.stats_handle();
-                Some((s.epoch(), s.bytes()))
-            }
-            Backend::Concurrent { wal, .. } => wal.as_ref().map(|s| (s.epoch(), s.bytes())),
-        }
-    }
-
-    /// Gapped-store slot occupancy (permille) for `stats`, when this
-    /// backend owns a session committing through the gap-aware CSR.
-    /// Published views carry no storage detail, so concurrent workers
-    /// and replicas report nothing.
-    fn slack_stats(&self) -> Option<u64> {
-        match self {
-            Backend::Direct(s) => s.slack_stats().map(|s| s.occupancy_permille()),
-            Backend::Durable { session, .. } => {
-                session.slack_stats().map(|s| s.occupancy_permille())
-            }
-            Backend::Concurrent { .. } | Backend::Replica { .. } => None,
-        }
-    }
-
-    /// Does this backend refuse mutations outright?
-    fn read_only(&self) -> bool {
-        matches!(self, Backend::Replica { .. })
-    }
-}
-
-/// Apply one writer op through `backend` — the mutation funnel shared
-/// by the blocking serve loop and the event-driven server. Direct and
-/// Durable backends apply in place; Concurrent funnels the op to the
-/// writer thread and blocks for the outcome.
-pub(crate) fn apply_writer_op(backend: &mut Backend<'_>, op: WriterOp) -> WriterOutcome {
-    match backend {
-        Backend::Direct(session) => apply_on(session, op),
-        Backend::Durable { session, durable } => apply_logged(session, Some(durable), None, op),
-        Backend::Concurrent { writer, .. } => send_writer(writer, op),
-        Backend::Replica { .. } => Err((op, "read-only replica".into())),
-    }
-}
-
-/// Send one op to the writer thread and block for its outcome.
-fn send_writer(writer: &mpsc::Sender<WriterRequest>, op: WriterOp) -> WriterOutcome {
+/// Send one op to the writer thread and block for its outcome; `None`
+/// when the writer thread is gone.
+fn send_writer(writer: &mpsc::Sender<WriterRequest>, op: WriterOp) -> Option<WriterOutcome> {
     let (tx, rx) = mpsc::sync_channel(1);
-    match writer.send(WriterRequest {
-        op,
-        reply: WriterReply::Sync(tx),
-    }) {
-        Ok(()) => match rx.recv() {
-            Ok(outcome) => outcome,
-            // The writer died mid-op; the op is gone with it, and so is
-            // the server.
-            Err(_) => Err((
-                WriterOp::Commit(BatchUpdate::new()),
-                "server shutting down".into(),
-            )),
-        },
-        Err(e) => Err((e.0.op, "server shutting down".into())),
-    }
+    writer
+        .send(WriterRequest {
+            op,
+            reply: WriterReply::Sync(tx),
+        })
+        .ok()?;
+    rx.recv().ok()
 }
 
 /// One client's subscription to a vertex's rank.
@@ -570,7 +369,7 @@ impl ConnState {
     /// Collect the subscribed vertices that drifted past eps since
     /// their baseline, against the pinned view, updating baselines for
     /// the collected ones. `eps` = 0 means "any bitwise change".
-    fn drain_pushes(&mut self, view: &CmdView<'_>) -> Vec<(u32, f64)> {
+    fn drain_pushes(&mut self, view: &RankView) -> Vec<(u32, f64)> {
         let mut pushed = Vec::new();
         for (&v, entry) in self.subs.iter_mut() {
             let r = view.rank(v);
@@ -597,15 +396,14 @@ impl ConnState {
 pub(crate) fn proactive_push<W: Write>(
     state: &mut ConnState,
     reorder: &SharedReordering,
-    view: Arc<RankView>,
+    view: &RankView,
     summary: &mut ServeSummary,
     out: &mut W,
 ) -> std::io::Result<bool> {
     if !state.has_subs() {
         return Ok(false);
     }
-    let view = CmdView::Published(view);
-    let pushed = state.drain_pushes(&view);
+    let pushed = state.drain_pushes(view);
     if pushed.is_empty() {
         return Ok(false);
     }
@@ -621,78 +419,17 @@ pub(crate) fn proactive_push<W: Write>(
     Ok(true)
 }
 
-/// Drive `session` exclusively with the line protocol from `input`,
-/// writing replies to `out`, until EOF or `quit`. Returns the
-/// connection counters. This is the single-connection (stdin) mode; the
-/// concurrent TCP server drives [`serve_client`] instead.
-pub fn serve_connection<R: BufRead, W: Write>(
-    session: &mut UpdateSession,
-    input: R,
-    out: W,
-) -> std::io::Result<ServeSummary> {
-    serve_client(&mut Backend::Direct(session), input, out)
-}
-
-/// [`serve_connection`] over a renumbered session: client-facing ids
-/// are translated through `reorder` at the protocol boundary.
-pub fn serve_connection_reordered<R: BufRead, W: Write>(
-    session: &mut UpdateSession,
-    reorder: &SharedReordering,
-    input: R,
-    out: W,
-) -> std::io::Result<ServeSummary> {
-    serve_client_reordered(&mut Backend::Direct(session), reorder, input, out)
-}
-
-/// [`serve_connection`] with a write-ahead log: mutations are appended
-/// and acked in order, and the WAL is flushed to stable storage when
-/// the input ends (EOF or `quit`) — the stdin half of graceful
-/// shutdown.
-pub fn serve_connection_durable<R: BufRead, W: Write>(
-    session: &mut UpdateSession,
-    durable: &mut Durability,
-    input: R,
-    out: W,
-) -> std::io::Result<ServeSummary> {
-    serve_connection_durable_reordered(session, durable, &None, input, out)
-}
-
-/// [`serve_connection_durable`] over a renumbered session.
-pub fn serve_connection_durable_reordered<R: BufRead, W: Write>(
-    session: &mut UpdateSession,
-    durable: &mut Durability,
-    reorder: &SharedReordering,
-    input: R,
-    out: W,
-) -> std::io::Result<ServeSummary> {
-    let summary = serve_client_reordered(
-        &mut Backend::Durable { session, durable },
-        reorder,
-        input,
-        out,
-    )?;
-    if let Err(e) = durable.flush_sync() {
-        eprintln!("# shutdown flush failed: {e}");
-    }
-    Ok(summary)
-}
-
-/// Drive one client connection against `backend` until EOF or `quit`.
+/// Drive one blocking client connection against `backend` until EOF or
+/// `quit`, writing replies to `out`. Requests are mapped external →
+/// internal through `reorder` before they touch the backend and every
+/// vertex id in a reply is mapped back, so clients keep speaking the
+/// dataset's original ids no matter how the session renumbered them.
+///
+/// Mutations block on the writer thread; if it is gone the connection
+/// ends with an error rather than serving reads that can no longer
+/// advance.
 pub fn serve_client<R: BufRead, W: Write>(
-    backend: &mut Backend<'_>,
-    input: R,
-    out: W,
-) -> std::io::Result<ServeSummary> {
-    serve_client_reordered(backend, &None, input, out)
-}
-
-/// [`serve_client`] with id translation: requests are mapped external →
-/// internal before they touch the backend and every vertex id in a
-/// reply is mapped back, so clients keep speaking the dataset's
-/// original ids no matter how the session renumbered them. With
-/// `reorder = None` this is exactly [`serve_client`].
-pub fn serve_client_reordered<R: BufRead, W: Write>(
-    backend: &mut Backend<'_>,
+    backend: &Backend,
     reorder: &SharedReordering,
     input: R,
     mut out: W,
@@ -705,65 +442,43 @@ pub fn serve_client_reordered<R: BufRead, W: Write>(
             continue; // blank or comment: no command, no reply
         };
         summary.commands += 1;
-        let flow = match parsed {
+        let quit = match parsed {
             Ok(req) => {
                 let req = match reorder {
                     Some(r) => translate_request(req, r),
                     None => req,
                 };
                 match process(backend, reorder, &mut state, &mut summary, req, &mut out)? {
-                    Action::Done => Flow::Continue,
+                    Action::Done => false,
                     Action::Mutate { op, kind } => {
-                        // The blocking path applies the op inline (for
-                        // Concurrent backends this blocks on the writer
-                        // thread); the event loop instead parks the
-                        // connection and finishes on the completion.
-                        let outcome = apply_writer_op(backend, op);
+                        let writer = backend
+                            .writer
+                            .as_ref()
+                            .expect("process refuses mutations without a writer");
+                        let Some(outcome) = send_writer(writer, op) else {
+                            return Err(std::io::Error::other("writer thread stopped"));
+                        };
                         let resp = finish_mutation(kind, outcome, &mut state, &mut summary);
                         reply(&mut out, reorder, &resp)?;
-                        Flow::Continue
+                        false
                     }
-                    Action::Follow { since } => Flow::Follow { since },
-                    Action::Quit => Flow::Quit,
+                    Action::Follow { .. } => {
+                        unreachable!("only the event loop's backends carry a feed")
+                    }
+                    Action::Quit => true,
                 }
             }
             Err(e) => {
                 reply(&mut out, reorder, &Response::Error(e))?;
-                Flow::Continue
+                false
             }
         };
         out.flush()?;
-        match flow {
-            Flow::Continue => {}
-            Flow::Quit => break,
-            Flow::Follow { since } => {
-                // The connection becomes a one-way feed: stream until
-                // the client hangs up or the hub closes, then end it.
-                // Socket errors are ordinary disconnects here.
-                if let Backend::Concurrent {
-                    reader,
-                    feed,
-                    algorithm,
-                    ..
-                } = backend
-                {
-                    let _ =
-                        replica::stream_feed(reader, feed, *algorithm, since, reorder, &mut out);
-                }
-                break;
-            }
+        if quit {
+            break;
         }
     }
     Ok(summary)
-}
-
-enum Flow {
-    Continue,
-    Quit,
-    /// Switch this connection to the replication feed.
-    Follow {
-        since: Option<u64>,
-    },
 }
 
 /// What [`process`] tells its driver to do after one command.
@@ -952,7 +667,7 @@ fn translate_error(e: ServeError, r: &Reordering) -> ServeError {
 }
 
 pub(crate) fn process<W: Write>(
-    backend: &mut Backend<'_>,
+    backend: &Backend,
     reorder: &SharedReordering,
     state: &mut ConnState,
     summary: &mut ServeSummary,
@@ -963,7 +678,7 @@ pub(crate) fn process<W: Write>(
     // any pending subscription pushes before the reply. `batch` pins
     // before committing, so its own pushes arrive on the next command.
     {
-        let view = backend.view();
+        let view = backend.reader.view();
         let is_poll = matches!(req, Request::Poll);
         let pushed = state.drain_pushes(&view);
         if is_poll || !pushed.is_empty() {
@@ -984,7 +699,7 @@ pub(crate) fn process<W: Write>(
 
     // A replica serves reads only; refuse mutations with one stable
     // error before touching any staging state.
-    if backend.read_only()
+    if backend.writer.is_none()
         && matches!(
             req,
             Request::Insert { .. }
@@ -1004,20 +719,30 @@ pub(crate) fn process<W: Write>(
         // transcripts stay byte-identical; only the sharded server
         // (`crate::shard`) answers with `Handshake::V2`.
         Request::Hello => Response::Hello(Handshake::V1 {
-            algorithm: backend.algorithm().to_string(),
+            algorithm: backend.algorithm.to_string(),
             verbs: VERBS.iter().map(|s| s.to_string()).collect(),
         }),
         Request::Insert { u, v } => {
-            let view = backend.view();
+            let view = backend.reader.view();
             match checked_edge(&view, u, v) {
-                Ok(()) => stage_insert(|u, v| view.has_edge(u, v), &mut state.staged, u, v),
+                Ok(()) => stage_insert(
+                    |u, v| view.snapshot().has_edge(u, v),
+                    &mut state.staged,
+                    u,
+                    v,
+                ),
                 Err(e) => Response::Error(e),
             }
         }
         Request::Delete { u, v } => {
-            let view = backend.view();
+            let view = backend.reader.view();
             match checked_edge(&view, u, v) {
-                Ok(()) => stage_delete(|u, v| view.has_edge(u, v), &mut state.staged, u, v),
+                Ok(()) => stage_delete(
+                    |u, v| view.snapshot().has_edge(u, v),
+                    &mut state.staged,
+                    u,
+                    v,
+                ),
                 Err(e) => Response::Error(e),
             }
         }
@@ -1030,8 +755,8 @@ pub(crate) fn process<W: Write>(
             });
         }
         Request::Rank { v, view: name } => {
-            let view = backend.view();
-            let in_range = (v as usize) < view.num_vertices();
+            let view = backend.reader.view();
+            let in_range = (v as usize) < view.snapshot().num_vertices();
             match name {
                 None if in_range => Response::Rank {
                     v,
@@ -1052,7 +777,7 @@ pub(crate) fn process<W: Write>(
             }
         }
         Request::TopK { k, view: name } => {
-            let view = backend.view();
+            let view = backend.reader.view();
             match name {
                 None => Response::TopK {
                     entries: view.top_k(k),
@@ -1070,7 +795,7 @@ pub(crate) fn process<W: Write>(
             }
         }
         Request::Movers { k, view: name } => {
-            let view = backend.view();
+            let view = backend.reader.view();
             let to_entries = |ds: Vec<RankDelta>| ds.into_iter().map(MoverEntry::from).collect();
             match name {
                 None => Response::Movers {
@@ -1089,29 +814,29 @@ pub(crate) fn process<W: Write>(
             }
         }
         Request::Stats => {
-            let view = backend.view();
+            let view = backend.reader.view();
             Response::Stats {
-                n: view.num_vertices(),
-                m: view.num_edges(),
+                n: view.snapshot().num_vertices(),
+                m: view.snapshot().num_edges(),
                 steps: view.epoch(),
                 staged: state.staged.len(),
-                algo: backend.algorithm().to_string(),
+                algo: backend.algorithm.to_string(),
                 epochs: ShardEpochs::Single(view.epoch()),
-                wal: backend.wal_stats(),
-                slack: backend.slack_stats(),
+                wal: backend.wal.as_ref().map(|s| (s.epoch(), s.bytes())),
+                slack: view.slack_stats().map(|s| s.occupancy_permille()),
                 queues: None,
             }
         }
         Request::Subscribe { v, eps } => {
-            let view = backend.view();
-            if (v as usize) < view.num_vertices() {
+            let view = backend.reader.view();
+            if (v as usize) < view.snapshot().num_vertices() {
                 let baseline = view.rank(v);
                 state.subs.insert(v, SubEntry { eps, baseline });
                 Response::Subscribed { v, eps }
             } else {
                 Response::Error(ServeError::VertexOutOfRange {
                     id: v,
-                    n: view.num_vertices(),
+                    n: view.snapshot().num_vertices(),
                 })
             }
         }
@@ -1124,7 +849,7 @@ pub(crate) fn process<W: Write>(
         }
         Request::ViewAdd { name, sources } => {
             let count = sources.len();
-            match view_add_precheck(&backend.view(), &name, &sources) {
+            match view_add_precheck(&backend.reader.view(), &name, &sources) {
                 Err(e) => Response::Error(e),
                 Ok(()) => match Teleport::personalized(sources) {
                     // Parse-level validation already passed; remaining
@@ -1146,7 +871,7 @@ pub(crate) fn process<W: Write>(
             }
         }
         Request::ViewDrop { name } => {
-            if backend.view().has_view(&name) {
+            if backend.reader.view().has_view(&name) {
                 return Ok(Action::Mutate {
                     op: WriterOp::DropView { name: name.clone() },
                     kind: MutKind::ViewDrop { name },
@@ -1155,14 +880,12 @@ pub(crate) fn process<W: Write>(
             Response::Error(ServeError::UnknownView(name))
         }
         Request::Views => Response::Views {
-            entries: backend.view().view_names(),
+            entries: backend.reader.view().view_names(),
         },
         // A reordered leader ships its permutation in the resync head,
         // so followers translate ids locally — no refusal needed.
-        Request::Follow { since } => match backend {
-            Backend::Concurrent { .. } => return Ok(Action::Follow { since }),
-            _ => Response::Error(ServeError::FollowNeedsTcp),
-        },
+        Request::Follow { since } if backend.feed.is_some() => return Ok(Action::Follow { since }),
+        Request::Follow { .. } => Response::Error(ServeError::FollowNeedsTcp),
         Request::Quit => {
             reply(out, reorder, &Response::Bye)?;
             return Ok(Action::Quit);
@@ -1175,8 +898,8 @@ pub(crate) fn process<W: Write>(
 /// Turn a writer outcome into the pending command's reply, updating the
 /// connection counters and (for a rejected commit) restoring the
 /// client's staged edits. The paired entry point to [`process`]'s
-/// [`Action::Mutate`]: the blocking loop calls it right after
-/// [`apply_writer_op`]; the event loop calls it when the writer's
+/// [`Action::Mutate`]: the blocking loop calls it once the writer
+/// answers its blocking send; the event loop calls it when the writer's
 /// completion arrives.
 pub(crate) fn finish_mutation(
     kind: MutKind,
@@ -1229,8 +952,8 @@ pub(crate) fn finish_mutation(
     }
 }
 
-fn checked_edge(view: &CmdView<'_>, u: u32, v: u32) -> Result<(), ServeError> {
-    let n = view.num_vertices();
+fn checked_edge(view: &RankView, u: u32, v: u32) -> Result<(), ServeError> {
+    let n = view.snapshot().num_vertices();
     for id in [u, v] {
         if id as usize >= n {
             return Err(ServeError::VertexOutOfRange { id, n });
@@ -1240,14 +963,14 @@ fn checked_edge(view: &CmdView<'_>, u: u32, v: u32) -> Result<(), ServeError> {
 }
 
 fn view_add_precheck(
-    view: &CmdView<'_>,
+    view: &RankView,
     name: &str,
     sources: &[(u32, f64)],
 ) -> Result<(), ServeError> {
     if view.has_view(name) {
         return Err(ServeError::ViewExists(name.to_string()));
     }
-    let n = view.num_vertices();
+    let n = view.snapshot().num_vertices();
     for &(v, _) in sources {
         if v as usize >= n {
             return Err(ServeError::VertexOutOfRange { id: v, n });
@@ -1304,15 +1027,12 @@ pub(crate) fn stage_delete(
     }
 }
 
-/// Map a mutation failure to its typed error: WAL refusals and the
-/// replica refusal have fixed texts of their own; anything else gets
-/// the site-specific wrapper.
+/// Map a mutation failure to its typed error: WAL refusals have a
+/// fixed text of their own; anything else gets the site-specific
+/// wrapper.
 fn refusal_or(msg: String, wrap: impl FnOnce(String) -> ServeError) -> ServeError {
     if let Some(rest) = msg.strip_prefix("wal unavailable: ") {
         return ServeError::WalUnavailable(rest.to_string());
-    }
-    if msg == "read-only replica" {
-        return ServeError::ReadOnlyReplica;
     }
     wrap(msg)
 }
@@ -1328,6 +1048,7 @@ pub(crate) fn status_str(status: RunStatus) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::serve_stdin;
     use lfpr_core::PagerankOptions;
     use lfpr_graph::selfloops::add_self_loops;
     use lfpr_graph::GraphBuilder;
@@ -1347,11 +1068,16 @@ mod tests {
         s
     }
 
-    fn run(input: &str) -> (String, ServeSummary) {
-        let mut s = session();
+    /// Serve `input` against `s` through the stdin transport.
+    fn serve(s: UpdateSession, input: &str) -> (String, UpdateSession, ServeSummary) {
         let mut out = Vec::new();
-        let summary = serve_connection(&mut s, input.as_bytes(), &mut out).unwrap();
-        (String::from_utf8(out).unwrap(), summary)
+        let (s, summary) = serve_stdin(s, None, &None, input.as_bytes(), &mut out).unwrap();
+        (String::from_utf8(out).unwrap(), s, summary)
+    }
+
+    fn run(input: &str) -> (String, ServeSummary) {
+        let (out, _, summary) = serve(session(), input);
+        (out, summary)
     }
 
     #[test]
@@ -1418,15 +1144,9 @@ mod tests {
 
     #[test]
     fn ranks_update_across_batches() {
-        let mut s = session();
+        let s = session();
         let before = s.rank(1);
-        let mut out = Vec::new();
-        serve_connection(
-            &mut s,
-            "insert 3 1\ninsert 4 1\nbatch\n".as_bytes(),
-            &mut out,
-        )
-        .unwrap();
+        let (_, s, _) = serve(s, "insert 3 1\ninsert 4 1\nbatch\n");
         assert!(s.rank(1) > before, "vertex 1 gained in-links");
         assert_eq!(s.steps(), 1);
     }
@@ -1561,31 +1281,35 @@ mod tests {
 
     #[test]
     fn concurrent_backend_answers_from_published_views() {
-        // A Concurrent backend wired to an in-thread "writer": ops
+        // A backend wired to an in-thread "writer": ops
         // drain synchronously after the serve loop ends, so replies to
         // reads must come from the published view only.
         let mut s = session();
         let reader = s.reader();
         let (tx, rx) = mpsc::channel::<WriterRequest>();
-        let mut backend = Backend::Concurrent {
+        let backend = Backend {
             reader,
-            writer: tx,
+            writer: Some(tx),
             algorithm: s.algorithm(),
-            feed: FeedHub::new(),
+            feed: Some(FeedHub::new()),
             wal: None,
         };
         let mut out = Vec::new();
         // Reads before any commit: epoch 0.
-        serve_client(&mut backend, "stats\nrank 1\ntopk 1\n".as_bytes(), &mut out).unwrap();
+        serve_client(
+            &backend,
+            &None,
+            "stats\nrank 1\ntopk 1\n".as_bytes(),
+            &mut out,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         for line in text.lines().take(3) {
             assert!(line.contains("epoch=0"), "{line}");
         }
         // A commit via the funnel: handled by the session writer.
         let (rtx, rrx) = mpsc::sync_channel(1);
-        let Backend::Concurrent { writer, .. } = &backend else {
-            unreachable!()
-        };
+        let writer = backend.writer.as_ref().unwrap();
         writer
             .send(WriterRequest {
                 op: WriterOp::Commit(BatchUpdate::insert_only(vec![(4, 1)])),
@@ -1593,12 +1317,12 @@ mod tests {
             })
             .unwrap();
         let req = rx.recv().unwrap();
-        let outcome = apply_on(&mut s, req.op);
+        let outcome = apply_logged(&mut s, None, None, req.op);
         req.reply.deliver(outcome);
         assert!(rrx.recv().unwrap().is_ok());
         // The published view caught up.
         let mut out = Vec::new();
-        serve_client(&mut backend, "rank 1\n".as_bytes(), &mut out).unwrap();
+        serve_client(&backend, &None, "rank 1\n".as_bytes(), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.trim_end().ends_with("epoch=1"), "{text}");
     }
@@ -1610,22 +1334,23 @@ mod tests {
         let (tx, rx) = mpsc::channel::<WriterRequest>();
         // An in-thread writer: applies every funneled op against the
         // session as soon as it arrives.
-        let mut backend = Backend::Concurrent {
+        let backend = Backend {
             reader,
-            writer: tx,
+            writer: Some(tx),
             algorithm: s.algorithm(),
-            feed: FeedHub::new(),
+            feed: Some(FeedHub::new()),
             wal: None,
         };
         let writer_thread = std::thread::spawn(move || {
             while let Ok(req) = rx.recv() {
-                let outcome = apply_on(&mut s, req.op);
+                let outcome = apply_logged(&mut s, None, None, req.op);
                 req.reply.deliver(outcome);
             }
         });
         let mut out = Vec::new();
         serve_client(
-            &mut backend,
+            &backend,
+            &None,
             "view add ego 1\nviews\nrank 1 ego\nview drop ego\nquit\n".as_bytes(),
             &mut out,
         )
@@ -1646,14 +1371,7 @@ mod tests {
         use lfpr_core::session::StorageLayout;
         let mut s = session();
         s.set_storage_layout(StorageLayout::Gapped);
-        let mut out = Vec::new();
-        serve_connection(
-            &mut s,
-            "stats\ninsert 4 1\nbatch\nstats\nquit\n".as_bytes(),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let (text, _, _) = serve(s, "stats\ninsert 4 1\nbatch\nstats\nquit\n");
         let stats: Vec<&str> = text.lines().filter(|l| l.starts_with("stats ")).collect();
         assert_eq!(stats.len(), 2);
         for line in stats {
@@ -1686,8 +1404,9 @@ mod tests {
         s.enable_delta_tracking();
         let reorder: SharedReordering = Some(Arc::clone(&r));
         let mut out = Vec::new();
-        serve_connection_reordered(
-            &mut s,
+        let (s, _) = serve_stdin(
+            s,
+            None,
             &reorder,
             "rank 1\n\
              insert 0 1\n\

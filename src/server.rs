@@ -31,30 +31,33 @@
 //!   pushes ride the writer's wakeup, so subscribers hear about rank
 //!   changes without polling.
 //!
+//! The stdin transport ([`serve_stdin`]) is one more client of the same
+//! writer thread: a blocking loop that sends each mutation through the
+//! writer's channel and waits for its outcome, so both transports share
+//! one commit path.
+//!
 //! A client disconnecting mid-request, mid-response, or mid-commit only
 //! drops that connection: the fd is deregistered and closed, its
 //! subscriptions die with its state, and a commit already queued still
 //! applies (the completion for a vanished token is discarded — the
-//! outcome is simply unobserved, exactly like the blocking server's
-//! reply into a closed socket).
+//! outcome is simply unobserved).
 
-use crate::durable::{Durability, WalStats};
+use crate::durable::Durability;
 use crate::net::{raise_nofile_limit, Event, Interest, Poller, Waker};
 use crate::protocol::{parse_request, Response};
 use crate::replica::{record_is_fresh, write_feed_event, write_resync, FeedHub};
 use crate::serve::{
-    apply_logged, finish_mutation, proactive_push, process, reply, translate_request, Action,
-    Backend, CommitOutcome, ConnState, MutKind, ServeSummary, WriterOk, WriterOp, WriterOutcome,
-    WriterReply, WriterRequest,
+    apply_logged, finish_mutation, proactive_push, process, reply, serve_client, translate_request,
+    Action, Backend, CommitOutcome, ConnState, MutKind, ServeSummary, WriterOk, WriterOp,
+    WriterOutcome, WriterReply, WriterRequest,
 };
 use crate::shard::{serve_shard_client_reordered, ShardRouter};
-use lfpr_core::session::{RankReader, RankView, UpdateSession};
-use lfpr_core::Algorithm;
+use lfpr_core::session::{RankView, UpdateSession};
 use lfpr_graph::io::wal::WalRecord;
 use lfpr_graph::reorder::SharedReordering;
 use lfpr_graph::{BatchUpdate, DynGraph, Edge};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -120,7 +123,7 @@ impl ServerOptions {
 }
 
 /// A running event-driven TCP server (see the module docs for the
-/// threading model). Obtained from [`spawn`]; dropped handles leave the
+/// threading model). Obtained from [`spawn_with`]; dropped handles leave the
 /// threads serving — call [`stop`](Self::stop) for a graceful shutdown
 /// or [`wait`](Self::wait) to serve until the process ends.
 pub struct TcpServer {
@@ -166,58 +169,30 @@ impl TcpServer {
     }
 
     /// Serve until every thread exits — effectively forever, unless
-    /// [`stop`](Self::stop) is called or the writer dies (which shuts
-    /// the loops down so the exit is visible). Used by the CLI.
-    pub fn wait(self) {
+    /// the writer dies, which shuts the loops down and returns an error
+    /// so the process can exit with a failure status. Used by the CLI.
+    pub fn wait(self) -> Result<(), String> {
         for l in self.loops {
             let _ = l.join();
         }
-        if self.writer.join().is_err() {
-            eprintln!("# server stopped: writer thread panicked");
+        match self.writer.join() {
+            Ok(_) => Ok(()),
+            Err(_) => Err("writer thread panicked".into()),
         }
     }
 }
 
-/// Start serving `listener` with `workers` event loops plus one writer
-/// thread owning `session`.
-pub fn spawn(
-    session: UpdateSession,
-    listener: TcpListener,
-    workers: usize,
-) -> std::io::Result<TcpServer> {
-    spawn_with(session, listener, ServerOptions::new(workers))
-}
-
-/// [`spawn`] with durability: when `durable` is given, the writer
-/// thread logs every committed op to its write-ahead log (and takes
+/// Start serving `listener` with `opts.workers` event loops plus one
+/// writer thread owning `session`. When `opts.durable` is given, the
+/// writer logs every committed op to its write-ahead log (and takes
 /// periodic checkpoints) before acknowledging, and `stats` reports the
 /// log position. With or without a log, committed ops are published to
 /// the replica feed so `follow` clients receive them live. When
-/// `reorder` is given, every loop translates client-facing vertex ids
-/// through it at the protocol boundary, and the feed's resync block
+/// `opts.reorder` is given, every loop translates client-facing vertex
+/// ids through it at the protocol boundary, and the feed's resync block
 /// ships the permutation so followers can do the same.
-pub fn spawn_durable(
-    session: UpdateSession,
-    listener: TcpListener,
-    workers: usize,
-    durable: Option<Durability>,
-    reorder: SharedReordering,
-) -> std::io::Result<TcpServer> {
-    spawn_with(
-        session,
-        listener,
-        ServerOptions {
-            workers,
-            durable,
-            reorder,
-            coalesce: true,
-        },
-    )
-}
-
-/// Start serving `listener` as configured by `opts`.
 pub fn spawn_with(
-    mut session: UpdateSession,
+    session: UpdateSession,
     listener: TcpListener,
     opts: ServerOptions,
 ) -> std::io::Result<TcpServer> {
@@ -231,22 +206,21 @@ pub fn spawn_with(
     listener.set_nonblocking(true)?;
     // Connections cost one fd each; make room for the advertised scale.
     raise_nofile_limit(NOFILE_WANT);
-    let algorithm = session.algorithm();
-    // Creating the reader turns on epoch publication; every commit from
-    // here on is visible to the loops.
-    let reader = session.reader();
-    let (tx, rx) = mpsc::channel::<WriterRequest>();
     let stop = Arc::new(AtomicBool::new(false));
     let feed = FeedHub::new();
-    let wal: Option<Arc<WalStats>> = durable.as_ref().map(|d| d.stats_handle());
-    let n_loops = workers.max(1);
+    if workers == 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "the server needs at least one event loop",
+        ));
+    }
 
     // Pollers and wakeup fds exist before any thread starts: the writer
     // wakes every loop after each drain round, and shutdown wakes them
     // out of `wait`.
-    let mut wakers = Vec::with_capacity(n_loops);
-    let mut pollers = Vec::with_capacity(n_loops);
-    for _ in 0..n_loops {
+    let mut wakers = Vec::with_capacity(workers);
+    let mut pollers = Vec::with_capacity(workers);
+    for _ in 0..workers {
         let waker = Arc::new(Waker::new()?);
         let mut poller = Poller::new()?;
         poller.add(sock_fd(&listener), LISTENER_TOKEN, Interest::READ)?;
@@ -255,34 +229,30 @@ pub fn spawn_with(
         pollers.push(poller);
     }
 
-    let writer = {
-        // If the writer dies (a kernel panic propagated out of
-        // `session.step`), the server must not keep serving stale reads
-        // while every commit fails — shut the loops down and let
-        // `wait`/`stop` surface the panic instead.
+    // If the writer dies (a kernel panic propagated out of
+    // `session.step`), the server must not keep serving stale reads
+    // while every commit fails — shut the loops down and let
+    // `wait`/`stop` surface the panic instead.
+    let on_panic = {
         let stop = Arc::clone(&stop);
         let feed = feed.clone();
         let wakers = wakers.clone();
-        std::thread::Builder::new()
-            .name("lfpr-writer".into())
-            .spawn(move || {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    writer_loop(session, rx, durable, &feed, coalesce, &wakers)
-                }));
-                match result {
-                    Ok(session) => session,
-                    Err(panic) => {
-                        eprintln!("# writer thread panicked; stopping the server");
-                        stop.store(true, Ordering::Release);
-                        feed.close();
-                        for w in &wakers {
-                            w.wake();
-                        }
-                        std::panic::resume_unwind(panic)
-                    }
-                }
-            })?
+        move || {
+            stop.store(true, Ordering::Release);
+            feed.close();
+            for w in &wakers {
+                w.wake();
+            }
+        }
     };
+    let (backend, writer) = spawn_writer(
+        session,
+        durable,
+        Some(feed.clone()),
+        coalesce,
+        wakers.clone(),
+        on_panic,
+    )?;
     let totals = Arc::new(Mutex::new(ServeSummary::default()));
     let listener = Arc::new(listener);
     let loops = pollers
@@ -293,12 +263,8 @@ pub fn spawn_with(
                 id,
                 listener: Arc::clone(&listener),
                 stop: Arc::clone(&stop),
-                reader: reader.clone(),
-                writer_tx: tx.clone(),
-                algorithm,
+                backend: backend.clone(),
                 totals: Arc::clone(&totals),
-                feed: feed.clone(),
-                wal: wal.clone(),
                 reorder: reorder.clone(),
                 waker: Arc::clone(&wakers[id]),
                 completions: Arc::new(Mutex::new(Vec::new())),
@@ -310,7 +276,7 @@ pub fn spawn_with(
         .collect::<std::io::Result<Vec<_>>>()?;
     // The loops hold the only remaining senders; dropping ours lets the
     // writer exit as soon as the last loop does.
-    drop(tx);
+    drop(backend);
     Ok(TcpServer {
         addr,
         stop,
@@ -343,12 +309,8 @@ struct LoopCtx {
     id: usize,
     listener: Arc<TcpListener>,
     stop: Arc<AtomicBool>,
-    reader: RankReader,
-    writer_tx: mpsc::Sender<WriterRequest>,
-    algorithm: Algorithm,
+    backend: Backend,
     totals: Arc<Mutex<ServeSummary>>,
-    feed: FeedHub,
-    wal: Option<Arc<WalStats>>,
     reorder: SharedReordering,
     waker: Arc<Waker>,
     completions: Completions,
@@ -431,7 +393,7 @@ impl Conn {
 
     /// Read until `WouldBlock`/EOF, then run the state machine over any
     /// complete lines.
-    fn pump_read(&mut self, backend: &mut Backend<'_>, ctx: &LoopCtx) {
+    fn pump_read(&mut self, ctx: &LoopCtx) {
         let mut chunk = [0u8; 16 * 1024];
         let mut eof = false;
         loop {
@@ -458,7 +420,7 @@ impl Conn {
                 }
             }
         }
-        self.parse_lines(backend, ctx);
+        self.parse_lines(ctx);
         if eof {
             // The client's send side is done. Any buffered replies are
             // still flushed (half-close); then the connection ends. A
@@ -470,7 +432,7 @@ impl Conn {
 
     /// Run the protocol over every complete line in `rbuf` while the
     /// connection is ready for commands.
-    fn parse_lines(&mut self, backend: &mut Backend<'_>, ctx: &LoopCtx) {
+    fn parse_lines(&mut self, ctx: &LoopCtx) {
         loop {
             if !self.alive() || self.closing || !matches!(self.phase, Phase::Ready) {
                 if matches!(self.phase, Phase::Following { .. }) {
@@ -491,12 +453,12 @@ impl Conn {
                     return;
                 }
             };
-            self.handle_line(&line, backend, ctx);
+            self.handle_line(&line, ctx);
         }
     }
 
     /// One request line through the shared protocol core.
-    fn handle_line(&mut self, line: &str, backend: &mut Backend<'_>, ctx: &LoopCtx) {
+    fn handle_line(&mut self, line: &str, ctx: &LoopCtx) {
         let Some(parsed) = parse_request(line) else {
             return; // blank or comment: no command, no reply
         };
@@ -509,7 +471,7 @@ impl Conn {
                     None => req,
                 };
                 match process(
-                    backend,
+                    &ctx.backend,
                     &ctx.reorder,
                     &mut self.state,
                     &mut self.summary,
@@ -553,7 +515,12 @@ impl Conn {
                     .push((token, outcome));
             })),
         };
-        match ctx.writer_tx.send(req) {
+        let writer = ctx
+            .backend
+            .writer
+            .as_ref()
+            .expect("the TCP server has a writer");
+        match writer.send(req) {
             Ok(()) => {
                 self.phase = Phase::AwaitingWriter(kind);
                 Ok(())
@@ -571,16 +538,21 @@ impl Conn {
         }
     }
 
-    /// Switch to the one-way replica feed (`follow`). Mirrors
-    /// [`crate::replica::stream_feed`]: subscribe *before* pinning, so
-    /// no mutation can fall between the snapshot and the stream.
+    /// Switch to the one-way replica feed (`follow`): subscribe
+    /// *before* pinning, so no mutation can fall between the snapshot
+    /// and the stream; [`record_is_fresh`] skips the overlap.
     fn begin_follow(&mut self, since: Option<u64>, ctx: &LoopCtx) -> std::io::Result<()> {
-        let rx = ctx.feed.subscribe();
-        let pinned = ctx.reader.view();
+        let feed = ctx
+            .backend
+            .feed
+            .as_ref()
+            .expect("process follows only with a feed");
+        let rx = feed.subscribe();
+        let pinned = ctx.backend.reader.view();
         if since == Some(pinned.epoch()) {
             writeln!(self.wbuf, "feed ok epoch={}", pinned.epoch())?;
         } else {
-            write_resync(&mut self.wbuf, &pinned, ctx.algorithm, &ctx.reorder)?;
+            write_resync(&mut self.wbuf, &pinned, ctx.backend.algorithm, &ctx.reorder)?;
         }
         self.rbuf.clear();
         self.phase = Phase::Following { rx, pinned };
@@ -589,7 +561,7 @@ impl Conn {
 
     /// The writer resolved this connection's parked mutation: write the
     /// reply and resume parsing anything queued behind it.
-    fn finish_writer(&mut self, outcome: WriterOutcome, backend: &mut Backend<'_>, ctx: &LoopCtx) {
+    fn finish_writer(&mut self, outcome: WriterOutcome, ctx: &LoopCtx) {
         let phase = std::mem::replace(&mut self.phase, Phase::Ready);
         let Phase::AwaitingWriter(kind) = phase else {
             self.phase = phase;
@@ -600,7 +572,7 @@ impl Conn {
             self.fate = Fate::Dropped(e.to_string());
             return;
         }
-        self.parse_lines(backend, ctx);
+        self.parse_lines(ctx);
     }
 
     /// Move fresh feed frames from the hub queue into the write buffer.
@@ -683,13 +655,6 @@ fn event_loop(ctx: LoopCtx, mut poller: Poller) {
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events: Vec<Event> = Vec::with_capacity(64);
     let mut touched: Vec<u64> = Vec::new();
-    let mut backend = Backend::Concurrent {
-        reader: ctx.reader.clone(),
-        writer: ctx.writer_tx.clone(),
-        algorithm: ctx.algorithm,
-        feed: ctx.feed.clone(),
-        wal: ctx.wal.clone(),
-    };
     loop {
         events.clear();
         touched.clear();
@@ -716,7 +681,7 @@ fn event_loop(ctx: LoopCtx, mut poller: Poller) {
             // the op applied (or erred) at the writer; nobody is left to
             // care about the outcome.
             if let Some(conn) = conns.get_mut(&token) {
-                conn.finish_writer(outcome, &mut backend, &ctx);
+                conn.finish_writer(outcome, &ctx);
                 touched.push(token);
             }
         }
@@ -746,7 +711,7 @@ fn event_loop(ctx: LoopCtx, mut poller: Poller) {
                 if !idle {
                     continue;
                 }
-                let view = pushed_view.get_or_insert_with(|| ctx.reader.view()).clone();
+                let view = pushed_view.get_or_insert_with(|| ctx.backend.reader.view());
                 let _ = proactive_push(
                     &mut conn.state,
                     &ctx.reorder,
@@ -768,7 +733,7 @@ fn event_loop(ctx: LoopCtx, mut poller: Poller) {
                 token => {
                     if let Some(conn) = conns.get_mut(&token) {
                         if conn.alive() && (ev.readable || ev.hangup) {
-                            conn.pump_read(&mut backend, &ctx);
+                            conn.pump_read(&ctx);
                         }
                         touched.push(token);
                     }
@@ -951,14 +916,6 @@ pub fn apply_coalesced(
     feed: Option<&FeedHub>,
     batches: Vec<BatchUpdate>,
 ) -> Vec<Result<CommitOutcome, String>> {
-    let own_feed;
-    let feed = match feed {
-        Some(f) => f,
-        None => {
-            own_feed = FeedHub::new();
-            &own_feed
-        }
-    };
     let mut replies = Vec::with_capacity(batches.len());
     let mut commits = Vec::with_capacity(batches.len());
     for batch in batches {
@@ -979,6 +936,70 @@ pub fn apply_coalesced(
         .collect()
 }
 
+/// Start the single writer thread (`lfpr-writer`): it owns `session`
+/// and runs [`writer_loop`] over every [`WriterRequest`] sent through
+/// the returned backend's channel — the one mutation path of both the
+/// TCP server and the stdin transport. The thread ends when the last
+/// sender is dropped and hands the session back through its join
+/// handle, after flushing and fsyncing any WAL. If a request panics the
+/// writer, `on_panic` runs (the TCP server stops its loops there) and
+/// the join handle reports the panic.
+fn spawn_writer(
+    mut session: UpdateSession,
+    durable: Option<Durability>,
+    feed: Option<FeedHub>,
+    coalesce: bool,
+    wakers: Vec<Arc<Waker>>,
+    on_panic: impl FnOnce() + Send + 'static,
+) -> std::io::Result<(Backend, JoinHandle<UpdateSession>)> {
+    let (tx, rx) = mpsc::channel::<WriterRequest>();
+    // Creating the reader turns on epoch publication; every commit from
+    // here on is visible to the backend's readers.
+    let backend = Backend {
+        reader: session.reader(),
+        writer: Some(tx),
+        algorithm: session.algorithm(),
+        feed: feed.clone(),
+        wal: durable.as_ref().map(|d| d.stats_handle()),
+    };
+    let writer = std::thread::Builder::new()
+        .name("lfpr-writer".into())
+        .spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                writer_loop(session, rx, durable, feed.as_ref(), coalesce, &wakers)
+            }));
+            result.unwrap_or_else(|panic| {
+                eprintln!("# writer thread panicked; stopping the server");
+                on_panic();
+                std::panic::resume_unwind(panic)
+            })
+        })?;
+    Ok((backend, writer))
+}
+
+/// Serve one blocking connection — the stdin transport — as a client of
+/// the same single writer thread the TCP server uses: reads answer from
+/// the published view and every mutation goes through the writer's
+/// commit path. On EOF or `quit` the writer drains, flushes and fsyncs
+/// any WAL, and hands the session back with the connection's counters.
+/// A writer that panicked is reported as an error.
+pub fn serve_stdin<R: BufRead, W: Write>(
+    session: UpdateSession,
+    durable: Option<Durability>,
+    reorder: &SharedReordering,
+    input: R,
+    out: W,
+) -> std::io::Result<(UpdateSession, ServeSummary)> {
+    let (backend, writer) = spawn_writer(session, durable, None, true, Vec::new(), || {})?;
+    let served = serve_client(&backend, reorder, input, out);
+    // Dropping the only sender ends the writer's receive loop.
+    drop(backend);
+    let session = writer
+        .join()
+        .map_err(|_| std::io::Error::other("writer thread panicked"))?;
+    Ok((session, served?))
+}
+
 /// The single writer: drains every queued request per wakeup, merges
 /// the commits into one batch, applies it (publish → WAL append +
 /// fsync → feed → ack, preserving log-before-ack for every client in
@@ -991,7 +1012,7 @@ fn writer_loop(
     mut session: UpdateSession,
     rx: mpsc::Receiver<WriterRequest>,
     mut durable: Option<Durability>,
-    feed: &FeedHub,
+    feed: Option<&FeedHub>,
     coalesce: bool,
     wakers: &[Arc<Waker>],
 ) -> UpdateSession {
@@ -1011,7 +1032,7 @@ fn writer_loop(
                 WriterOp::Commit(batch) => commits.push((batch, req.reply)),
                 op => {
                     flush_commits(&mut session, &mut durable, feed, &mut commits);
-                    let outcome = apply_logged(&mut session, durable.as_mut(), Some(feed), op);
+                    let outcome = apply_logged(&mut session, durable.as_mut(), feed, op);
                     req.reply.deliver(outcome);
                 }
             }
@@ -1040,19 +1061,14 @@ fn writer_loop(
 fn flush_commits(
     session: &mut UpdateSession,
     durable: &mut Option<Durability>,
-    feed: &FeedHub,
+    feed: Option<&FeedHub>,
     commits: &mut Vec<(BatchUpdate, WriterReply)>,
 ) {
     match commits.len() {
         0 => {}
         1 => {
             let (batch, reply) = commits.pop().expect("len checked");
-            let outcome = apply_logged(
-                session,
-                durable.as_mut(),
-                Some(feed),
-                WriterOp::Commit(batch),
-            );
+            let outcome = apply_logged(session, durable.as_mut(), feed, WriterOp::Commit(batch));
             reply.deliver(outcome);
         }
         _ => {
@@ -1084,7 +1100,7 @@ fn flush_commits(
             // One apply even when cancellation emptied the net batch:
             // the epoch still advances, once, and every accepted client
             // acks against it — indistinguishable from an empty `batch`.
-            match apply_logged(session, durable.as_mut(), Some(feed), WriterOp::Commit(net)) {
+            match apply_logged(session, durable.as_mut(), feed, WriterOp::Commit(net)) {
                 Ok(WriterOk::Committed(o)) => {
                     for ((batch, reply), verdict) in round.into_iter().zip(verdicts) {
                         match verdict {
@@ -1236,7 +1252,7 @@ pub fn spawn_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfpr_core::PagerankOptions;
+    use lfpr_core::{Algorithm, PagerankOptions};
     use lfpr_graph::selfloops::add_self_loops;
     use lfpr_graph::GraphBuilder;
     use std::io::{BufRead, BufReader, Write};
@@ -1266,7 +1282,7 @@ mod tests {
 
     fn start(workers: usize) -> TcpServer {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        spawn(session(), listener, workers).unwrap()
+        spawn_with(session(), listener, ServerOptions::new(workers)).unwrap()
     }
 
     struct Client {
@@ -1460,6 +1476,50 @@ mod tests {
         assert_eq!(sub.roundtrip("quit"), "bye");
         assert_eq!(w.roundtrip("quit"), "bye");
         server.stop();
+    }
+
+    #[test]
+    fn a_panicking_writer_stops_every_transport() {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stopped);
+        let (backend, writer) = spawn_writer(session(), None, None, true, Vec::new(), move || {
+            flag.store(true, Ordering::Release)
+        })
+        .unwrap();
+        let writer_tx = backend.writer.clone().unwrap();
+        writer_tx
+            .send(WriterRequest {
+                op: WriterOp::Commit(BatchUpdate::new()),
+                reply: WriterReply::Callback(Box::new(|_| panic!("injected writer panic"))),
+            })
+            .unwrap();
+        // The blocking (stdin) loop answers reads until its next
+        // mutation finds the writer gone, then ends with an error
+        // instead of serving ranks that can no longer advance.
+        let mut out = Vec::new();
+        let served = serve_client(
+            &backend,
+            &None,
+            "stats\ninsert 3 1\nbatch\nrank 1\n".as_bytes(),
+            &mut out,
+        );
+        assert!(served.is_err(), "stdin loop outlived its writer");
+        let text = String::from_utf8(out).unwrap();
+        assert!(!text.contains("rank 1"), "{text}");
+        drop((backend, writer_tx));
+        // The TCP server's shutdown hook ran, and joining reports the
+        // panic (`TcpServer::wait` turns it into a failure exit).
+        assert!(writer.join().is_err());
+        assert!(stopped.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn zero_event_loops_are_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let err = spawn_with(session(), listener, ServerOptions::new(0))
+            .err()
+            .expect("zero loops must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 
     #[test]

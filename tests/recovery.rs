@@ -8,7 +8,7 @@ use lockfree_pagerank::durable::{teleport_from_normalized, Durability, Durabilit
 use lockfree_pagerank::graph::io::wal::FsyncPolicy;
 use lockfree_pagerank::graph::selfloops::add_self_loops;
 use lockfree_pagerank::graph::{BatchUpdate, GraphBuilder};
-use lockfree_pagerank::serve::{apply_logged, apply_on, WriterOp};
+use lockfree_pagerank::serve::{apply_logged, WriterOp};
 use lockfree_pagerank::{Algorithm, PagerankOptions, UpdateSession};
 use std::path::PathBuf;
 
@@ -112,7 +112,7 @@ fn reference_states(algo: Algorithm) -> Vec<StateSnap> {
     let mut session = session_with(algo);
     let mut states = vec![snap(&session)];
     for op in script() {
-        apply_on(&mut session, op).expect("reference op");
+        apply_logged(&mut session, None, None, op).expect("reference op");
         states.push(snap(&session));
     }
     states

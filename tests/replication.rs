@@ -8,7 +8,7 @@ use lockfree_pagerank::graph::io::wal::FsyncPolicy;
 use lockfree_pagerank::graph::selfloops::add_self_loops;
 use lockfree_pagerank::graph::GraphBuilder;
 use lockfree_pagerank::replica::{Follower, FollowerOptions};
-use lockfree_pagerank::server::{spawn_durable, TcpServer};
+use lockfree_pagerank::server::{spawn_with, ServerOptions, TcpServer};
 use lockfree_pagerank::{Algorithm, PagerankOptions, UpdateSession};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -138,7 +138,15 @@ fn durable_leader(dir: &std::path::Path, addr: Option<SocketAddr>) -> TcpServer 
     // One worker is pinned by the follower's feed stream and another by
     // the test's own long-lived client: four keeps a spare for the
     // throwaway connections `assert_mirrored` makes.
-    spawn_durable(s, listener, 4, Some(durable), None).expect("spawn leader")
+    spawn_with(
+        s,
+        listener,
+        ServerOptions {
+            durable: Some(durable),
+            ..ServerOptions::new(4)
+        },
+    )
+    .expect("spawn leader")
 }
 
 #[test]

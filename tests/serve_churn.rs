@@ -10,7 +10,7 @@
 
 use lockfree_pagerank::graph::generators::temporal::{filter_new_edges, temporal_stream};
 use lockfree_pagerank::protocol::{continuation_lines, parse_response, Response};
-use lockfree_pagerank::serve::serve_connection;
+use lockfree_pagerank::server::serve_stdin;
 use lockfree_pagerank::{Algorithm, PagerankOptions, UpdateSession};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -81,7 +81,7 @@ fn temporal_churn_with_subscriptions_and_views() {
     );
     session.enable_delta_tracking();
     let mut out = Vec::new();
-    serve_connection(&mut session, script.as_bytes(), &mut out).unwrap();
+    serve_stdin(session, None, &None, script.as_bytes(), &mut out).unwrap();
     let out = String::from_utf8(out).unwrap();
 
     // Every block must parse through the typed grammar; walk them and

@@ -18,7 +18,7 @@ use lockfree_pagerank::graph::generators::erdos_renyi;
 use lockfree_pagerank::graph::selfloops::add_self_loops;
 use lockfree_pagerank::graph::{DynGraph, GraphBuilder, Partition};
 use lockfree_pagerank::protocol::{continuation_lines, parse_response, Response};
-use lockfree_pagerank::serve::serve_connection;
+use lockfree_pagerank::server::serve_stdin;
 use lockfree_pagerank::shard::{serve_shard_client, ShardRouter, ShardSpec};
 use lockfree_pagerank::{Algorithm, PagerankOptions, UpdateSession};
 use std::fmt::Write as _;
@@ -67,7 +67,7 @@ fn both_transcripts(g: &DynGraph, script: &str) -> (Vec<Response>, Vec<Response>
     let mut session = UpdateSession::new(g.clone(), Algorithm::DfLF, opts());
     session.enable_delta_tracking();
     let mut single = Vec::new();
-    serve_connection(&mut session, script.as_bytes(), &mut single).unwrap();
+    serve_stdin(session, None, &None, script.as_bytes(), &mut single).unwrap();
 
     let router =
         ShardRouter::new(g.clone(), Algorithm::DfLF, opts(), ShardSpec::new(SHARDS)).unwrap();
